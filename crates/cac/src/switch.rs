@@ -6,9 +6,7 @@ use rtcac_net::LinkId;
 use crate::arena::{Leg, LegArena};
 use crate::intern::ContractIntern;
 use crate::tables::Tables;
-use crate::{
-    CacError, ConnectionId, ConnectionRequest, Priority, RejectReason, SofCache, SwitchConfig,
-};
+use crate::{CacError, ConnectionId, ConnectionRequest, Priority, RejectReason, SwitchConfig};
 
 /// The outcome of a CAC check: either the connection fits (with the
 /// computed worst-case bounds as evidence) or it must be rejected.
@@ -144,9 +142,8 @@ impl Switch {
     }
 
     /// The table epoch: a counter bumped on every state mutation
-    /// (successful admit or release). [`SofCache`] entries are tagged
-    /// with the epoch they were computed at, so a cached Algorithm 4.1
-    /// result is valid exactly while the epoch is unchanged.
+    /// (successful admit or release), so two reads of the same epoch
+    /// see the same tables. Snapshots store it per switch.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -158,10 +155,8 @@ impl Switch {
     /// are bit-identical to their state when `to` was read — i.e. every
     /// admit since then has been undone by a matching release. A
     /// two-phase engine uses this after rolling back an aborted
-    /// reservation so the shard is indistinguishable from the
-    /// pre-reserve state and warm [`SofCache`] entries stay valid;
-    /// pair it with [`SofCache::invalidate_newer`] so entries written
-    /// during the rolled-back window can never be mistaken for current.
+    /// reservation so the shard, and its snapshot bytes, are
+    /// indistinguishable from the pre-reserve state.
     ///
     /// # Panics
     ///
@@ -315,31 +310,6 @@ impl Switch {
     /// failure. A connection that merely does not fit is reported as
     /// [`AdmissionDecision::Rejected`], not as an error.
     pub fn check(&self, request: &ConnectionRequest) -> Result<AdmissionDecision, CacError> {
-        self.check_inner(request, None)
-    }
-
-    /// Like [`Switch::check`], but memoizes the epoch-stable parts of
-    /// the computation (the `Sof` interference chains and lower-priority
-    /// output aggregates) in `cache`. Entries from an older table epoch
-    /// miss and are recomputed, so the result is always identical to an
-    /// uncached [`Switch::check`].
-    ///
-    /// # Errors
-    ///
-    /// Exactly the conditions of [`Switch::check`].
-    pub fn check_cached(
-        &self,
-        request: &ConnectionRequest,
-        cache: &mut SofCache,
-    ) -> Result<AdmissionDecision, CacError> {
-        self.check_inner(request, Some(cache))
-    }
-
-    fn check_inner(
-        &self,
-        request: &ConnectionRequest,
-        mut cache: Option<&mut SofCache>,
-    ) -> Result<AdmissionDecision, CacError> {
         let p = request.priority();
         let advertised = self.config.bound(p)?;
         let (i, j) = (request.in_link(), request.out_link());
@@ -375,10 +345,7 @@ impl Switch {
 
         // Step 4: delay bound at the connection's own priority under
         // the (unchanged) higher-priority interference.
-        let sof = match cache.as_deref_mut() {
-            Some(c) => c.interference(self.epoch, (j, p), || self.tables.interference(j, p)),
-            None => self.tables.interference(j, p),
-        };
+        let sof = self.tables.interference(j, p);
         let mut bounds = Vec::new();
         match Self::bound_or_reject(&soa_new, &sof, j, p, advertised)? {
             Ok(d) => bounds.push((p, d)),
@@ -392,10 +359,7 @@ impl Switch {
                 continue;
             }
             let advertised1 = self.config.bound(p1)?;
-            let soa1 = match cache.as_deref_mut() {
-                Some(c) => c.aggregate(self.epoch, (j, p1), || self.tables.output_aggregate(j, p1)),
-                None => self.tables.output_aggregate(j, p1),
-            };
+            let soa1 = self.tables.output_aggregate(j, p1);
             if soa1.is_zero() {
                 bounds.push((p1, Time::ZERO));
                 continue;
@@ -427,35 +391,10 @@ impl Switch {
         id: ConnectionId,
         request: ConnectionRequest,
     ) -> Result<AdmissionDecision, CacError> {
-        self.admit_inner(id, request, None)
-    }
-
-    /// Like [`Switch::admit`], but runs the check through `cache`
-    /// (see [`Switch::check_cached`]). A successful admission bumps the
-    /// table epoch, implicitly invalidating every cached entry.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the conditions of [`Switch::admit`].
-    pub fn admit_cached(
-        &mut self,
-        id: ConnectionId,
-        request: ConnectionRequest,
-        cache: &mut SofCache,
-    ) -> Result<AdmissionDecision, CacError> {
-        self.admit_inner(id, request, Some(cache))
-    }
-
-    fn admit_inner(
-        &mut self,
-        id: ConnectionId,
-        request: ConnectionRequest,
-        cache: Option<&mut SofCache>,
-    ) -> Result<AdmissionDecision, CacError> {
         if self.find_leg(id, request.out_link()).is_some() {
             return Err(CacError::DuplicateConnection(id));
         }
-        let decision = self.check_inner(&request, cache)?;
+        let decision = self.check(&request)?;
         if decision.is_admitted() {
             self.attach_leg(id, &request)?;
             self.epoch += 1;
@@ -529,28 +468,6 @@ impl Switch {
         }
         let sof = self.tables.interference(out_link, priority);
         soa.delay_bound(&sof).map_err(CacError::from)
-    }
-
-    /// Like [`Switch::computed_bound`], but memoizes the Algorithm 4.1
-    /// result in `cache`, keyed by `(out_link, priority)` and tagged
-    /// with the current table epoch.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the conditions of [`Switch::computed_bound`].
-    pub fn computed_bound_cached(
-        &self,
-        out_link: LinkId,
-        priority: Priority,
-        cache: &mut SofCache,
-    ) -> Result<Time, CacError> {
-        self.config.bound(priority)?;
-        if let Some(bound) = cache.bound(self.epoch, (out_link, priority)) {
-            return Ok(bound);
-        }
-        let bound = self.computed_bound(out_link, priority)?;
-        cache.store_bound(self.epoch, (out_link, priority), bound);
-        Ok(bound)
     }
 
     /// All outgoing links with established traffic.
@@ -948,92 +865,28 @@ mod tests {
     }
 
     #[test]
-    fn rewind_epoch_with_invalidation_keeps_cache_honest() {
+    fn rewind_epoch_restores_the_pre_reserve_state() {
         let mut sw = one_level_switch(32);
-        let mut cache = SofCache::new();
         sw.admit(ConnectionId::new(1), request(cbr(1, 8), 0, 0, 0))
             .unwrap();
         let pre = sw.epoch();
-        let bound_pre = sw
-            .computed_bound_cached(l(100), Priority::HIGHEST, &mut cache)
-            .unwrap();
+        let bound_pre = sw.computed_bound(l(100), Priority::HIGHEST).unwrap();
         // A reserve that later aborts: admit then undo via release.
-        sw.admit_cached(
-            ConnectionId::new(2),
-            request(cbr(1, 8), 0, 1, 0),
-            &mut cache,
-        )
-        .unwrap();
+        sw.admit(ConnectionId::new(2), request(cbr(1, 8), 0, 1, 0))
+            .unwrap();
         sw.release(ConnectionId::new(2)).unwrap();
         sw.rewind_epoch(pre);
-        cache.invalidate_newer(pre);
         assert_eq!(sw.epoch(), pre);
-        // The pre-reserve entry survives and is served as a hit...
-        let hits_before = cache.hits();
-        let bound_back = sw
-            .computed_bound_cached(l(100), Priority::HIGHEST, &mut cache)
-            .unwrap();
-        assert_eq!(bound_back, bound_pre);
-        assert_eq!(cache.hits(), hits_before + 1);
-        // ...and when the epoch re-advances past the invalidated window
-        // with *different* tables, no stale entry can answer: the next
-        // lookup must miss and recompute.
+        assert_eq!(
+            sw.computed_bound(l(100), Priority::HIGHEST).unwrap(),
+            bound_pre
+        );
+        // Re-advancing past the rewound window with different tables
+        // yields the bound of the new tables.
         sw.admit(ConnectionId::new(3), request(cbr(1, 4), 0, 2, 0))
             .unwrap();
-        let fresh = sw.computed_bound(l(100), Priority::HIGHEST).unwrap();
-        let misses_before = cache.misses();
-        let cached = sw
-            .computed_bound_cached(l(100), Priority::HIGHEST, &mut cache)
-            .unwrap();
-        assert_eq!(cached, fresh);
-        assert_eq!(cache.misses(), misses_before + 1);
-    }
-
-    #[test]
-    fn cached_check_agrees_with_uncached() {
-        let mut sw = one_level_switch(8);
-        let mut cache = SofCache::new();
-        for k in 0..12u64 {
-            let req = request(cbr(1, 10), 30, k as u32, 0);
-            let plain = sw.check(&req).unwrap();
-            let cached = sw.check_cached(&req, &mut cache).unwrap();
-            assert_eq!(plain, cached);
-            let d = sw
-                .admit_cached(ConnectionId::new(k), req, &mut cache)
-                .unwrap();
-            assert_eq!(d, plain);
-        }
-        assert!(
-            cache.hits() > 0,
-            "repeat lookups at a stable epoch must hit"
-        );
-    }
-
-    #[test]
-    fn cached_bound_invalidated_by_epoch_bump() {
-        let mut sw = one_level_switch(32);
-        let mut cache = SofCache::new();
-        sw.admit(ConnectionId::new(1), request(cbr(1, 8), 0, 0, 0))
-            .unwrap();
-        let b1 = sw
-            .computed_bound_cached(l(100), Priority::HIGHEST, &mut cache)
-            .unwrap();
-        // Second lookup at the same epoch: served from cache.
-        let hits_before = cache.hits();
-        let b2 = sw
-            .computed_bound_cached(l(100), Priority::HIGHEST, &mut cache)
-            .unwrap();
-        assert_eq!(b1, b2);
-        assert_eq!(cache.hits(), hits_before + 1);
-        // Mutating the switch invalidates the entry: the next lookup
-        // recomputes and returns the fresh value.
-        sw.admit(ConnectionId::new(2), request(cbr(1, 8), 16, 1, 0))
-            .unwrap();
-        let fresh = sw.computed_bound(l(100), Priority::HIGHEST).unwrap();
-        let cached = sw
-            .computed_bound_cached(l(100), Priority::HIGHEST, &mut cache)
-            .unwrap();
-        assert_eq!(cached, fresh);
+        assert_eq!(sw.epoch(), pre + 1);
+        assert!(sw.computed_bound(l(100), Priority::HIGHEST).unwrap() > bound_pre);
     }
 
     #[test]

@@ -518,7 +518,7 @@ pub fn engine(
     let stats = engine.stats();
     let _ = writeln!(
         out,
-        "stats: submitted={} admitted={} rejected={} aborted={} rerouted={} mcast={}/{} cache {}/{} hits",
+        "stats: submitted={} admitted={} rejected={} aborted={} rerouted={} mcast={}/{}",
         stats.submitted,
         stats.admitted,
         stats.rejected,
@@ -526,11 +526,8 @@ pub fn engine(
         stats.rerouted,
         stats.mcast_admitted,
         stats.mcast_submitted,
-        stats.cache_hits,
-        stats.cache_hits + stats.cache_misses
     );
-    // Final computed bounds per active port, served from the shard
-    // caches (warm after the batch).
+    // Final computed bounds per active port.
     engine_port_report(scenario, &engine, &mut out)?;
     if let (Some(path), Some(registry)) = (metrics_path, &registry) {
         let snapshot = registry.snapshot();
@@ -545,8 +542,7 @@ pub fn engine(
     Ok(out)
 }
 
-/// Appends the engine's final computed bounds per active port, served
-/// from the shard caches (warm after a batch or replay).
+/// Appends the engine's final computed bounds per active port.
 fn engine_port_report(
     scenario: &Scenario,
     engine: &AdmissionEngine,
@@ -1594,8 +1590,6 @@ pub struct ServeArgs {
     pub terminals: usize,
     /// Uniform per-hop delay bound, in cell times.
     pub bound: u64,
-    /// Admission worker threads.
-    pub workers: usize,
     /// Disable metric recording (no-op observability handles).
     pub snapshot_free: bool,
     /// Warm-restart state file: restored on boot, written on DRAIN.
@@ -1632,7 +1626,6 @@ pub fn serve(args: &ServeArgs) -> Result<String, CliError> {
         nodes: args.nodes,
         terminals: args.terminals,
         bound: Time::from_integer(args.bound as i128),
-        workers: args.workers,
         snapshot_free: args.snapshot_free,
         snapshot_path: args.snapshot.clone(),
         snapshot_every: args.snapshot_every,
@@ -1642,12 +1635,11 @@ pub fn serve(args: &ServeArgs) -> Result<String, CliError> {
     };
     let server = rtcac_serve::Server::start(&config).map_err(CliError::domain)?;
     println!(
-        "serve: listening on {} (star-ring nodes={} terminals={} bound={} workers={}{})",
+        "serve: listening on {} (star-ring nodes={} terminals={} bound={}{})",
         server.addr(),
         args.nodes,
         args.terminals,
         args.bound,
-        args.workers,
         if args.snapshot_free {
             ", snapshot-free"
         } else {
@@ -2298,7 +2290,6 @@ connect tiny route=up,mid,down contract=cbr:1/32 delay=64
         let prom = std::fs::read_to_string(&path).unwrap();
         assert!(prom.contains("engine_setups_submitted_total 3"), "{prom}");
         assert!(prom.contains("engine_reserve_ns_count"), "{prom}");
-        assert!(prom.contains("engine_sof_cache"), "{prom}");
         assert!(prom.contains("engine_shard_lock_wait_ns"), "{prom}");
 
         let json = std::fs::read_to_string(format!("{path_str}.json")).unwrap();

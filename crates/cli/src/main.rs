@@ -82,19 +82,19 @@ USAGE:
       Batch-admit the scenario through the concurrent sharded engine
       (two-phase reserve/commit, N worker threads) and report outcomes,
       engine statistics, and final port bounds. With --metrics, the
-      observability snapshot (phase timings, lock waits, cache and
-      outcome counters) is written to PATH in Prometheus text format
+      observability snapshot (phase timings, lock waits and outcome
+      counters) is written to PATH in Prometheus text format
       and to PATH.json in JSON.
 
   rtcac serve [--addr HOST:PORT] [--metrics-addr HOST:PORT] [--nodes N]
-              [--terminals N] [--bound CELLS] [--workers N]
-              [--snapshot-free] [--snapshot PATH] [--snapshot-every SECS]
+              [--terminals N] [--bound CELLS] [--snapshot-free]
+              [--snapshot PATH] [--snapshot-every SECS]
               [--flight-dir DIR] [--watchdog-ns NS]
       Run the resident admission service on a star-ring: a TCP server
       speaking the length-prefixed SETUP / SETUP-MCAST / RELEASE /
-      QUERY / DRAIN / STATS protocol, dispatching onto the concurrent
-      engine's worker pool. Sessions own the connections they admit; a
-      dead client's reservations are released on cleanup. With
+      QUERY / DRAIN / STATS protocol; each session thread calls the
+      concurrent engine directly. Sessions own the connections they
+      admit; a dead client's reservations are released on cleanup. With
       --metrics-addr, a trivial HTTP endpoint serves /metrics
       (Prometheus), /metrics.json, and /healthz. --snapshot-free runs
       with no-op observability handles. With --snapshot, the server
@@ -346,7 +346,6 @@ fn run(args: &[String]) -> Result<String, CliError> {
                 nodes: flag_u64(&rest, "--nodes")?.unwrap_or(16) as usize,
                 terminals: flag_u64(&rest, "--terminals")?.unwrap_or(4) as usize,
                 bound: flag_u64(&rest, "--bound")?.unwrap_or(64),
-                workers: flag_u64(&rest, "--workers")?.unwrap_or(4) as usize,
                 snapshot_free: rest.iter().any(|a| a.as_str() == "--snapshot-free"),
                 snapshot: flag_value(&rest, "--snapshot")?.map(str::to_owned),
                 snapshot_every: flag_u64(&rest, "--snapshot-every")?,

@@ -37,10 +37,9 @@ use std::sync::Arc;
 
 use rtcac_bitstream::{Time, TrafficContract};
 use rtcac_cac::{AdmissionReport, ConnectionId};
-use rtcac_engine::{AdmissionEngine, EngineOutcome, EngineStats};
+use rtcac_engine::{AdmissionEngine, EngineOutcome};
 use rtcac_fault::{
-    endpoint_pairs, finish_report, run_chaos_segment, ChaosConfig, ChaosReport, ChaosState,
-    FaultPlan,
+    endpoint_pairs, finish_report, run_chaos_segment, ChaosConfig, ChaosState, FaultPlan,
 };
 use rtcac_signaling::{
     CrankbackPolicy, MulticastOutcome, Network, SetupOutcome, SetupRejection, SignalError,
@@ -788,18 +787,6 @@ fn replay_crankback(
     Ok(serial_id.is_some() != engine_id.is_some())
 }
 
-/// Cache counters are the one legitimate difference after a restore
-/// (the restored engine starts cold), so resume parity compares with
-/// both zeroed.
-fn normalized(mut report: ChaosReport) -> ChaosReport {
-    report.stats = EngineStats {
-        cache_hits: 0,
-        cache_misses: 0,
-        ..report.stats
-    };
-    report
-}
-
 /// Runs an embedded `chaos` directive on a fresh engine over the
 /// scenario's topology. The run always uses resumable
 /// [`ChaosState`] segments; with `check_resume` it is additionally
@@ -868,7 +855,7 @@ fn run_chaos_directive(
              from the uninterrupted run"
         )));
     }
-    if normalized(control_report) != normalized(report) {
+    if control_report != report {
         return Ok(Some(format!(
             "chaos seed={seed}: final report after kill/snapshot-restore diverged \
              from the uninterrupted run"

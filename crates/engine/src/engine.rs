@@ -9,14 +9,14 @@ use rtcac_bitstream::Time;
 use rtcac_cac::{
     AdmissionDecision, AdmissionReport, AdmissionVerdict, ConnectionId, ConnectionRequest,
     HopDriver, HopVerdict, PlannedHop, Priority, ReservationPlan, ReserveOutcome, RoutePlan,
-    SofCache, Switch, SwitchConfig,
+    Switch, SwitchConfig,
 };
 use rtcac_net::{LinkId, MulticastTree, NodeId, Route, Topology};
 use rtcac_obs::{Registry, TraceCtx, Tracer};
 use rtcac_signaling::{CdvPolicy, SetupRejection, SetupRequest};
 
 use crate::metrics::EngineMetrics;
-use crate::shard::{Shard, ShardState};
+use crate::shard::Shard;
 use crate::state::{ConnectionState, EngineState, HealthOverlayState, SwitchState};
 use crate::stats::Counters;
 use crate::{EngineError, EngineStats};
@@ -181,9 +181,8 @@ enum AttemptResult {
 /// A concurrent, sharded connection admission engine.
 ///
 /// Wraps one [`Switch`](rtcac_cac::Switch) per topology switch node in
-/// a [`Shard`] (switch + [`SofCache`](rtcac_cac::SofCache) behind one
-/// mutex) and serves setups with a deterministic **two-phase
-/// protocol**:
+/// a [`Shard`] (the switch behind its own mutex) and serves setups
+/// with a deterministic **two-phase protocol**:
 ///
 /// 1. **Reserve** — the worker locks every shard on the route in
 ///    ascending [`NodeId`] order (a global lock order, so concurrent
@@ -499,7 +498,7 @@ impl AdmissionEngine {
             .shards
             .get_mut(&node)
             .ok_or(EngineError::NoSwitchAt(node))?;
-        if shard.lock().switch.connection_count() != 0 {
+        if shard.lock().connection_count() != 0 {
             return Err(EngineError::Cac(rtcac_cac::CacError::BadConfig(
                 "cannot reconfigure a shard with established connections",
             )));
@@ -531,7 +530,7 @@ impl AdmissionEngine {
     ///
     /// Returns [`EngineError::NoSwitchAt`] for non-switch nodes.
     pub fn shard_connection_count(&self, node: NodeId) -> Result<usize, EngineError> {
-        Ok(self.shard(node)?.lock().switch.connection_count())
+        Ok(self.shard(node)?.lock().connection_count())
     }
 
     /// The table epoch of one switch shard (see
@@ -541,12 +540,11 @@ impl AdmissionEngine {
     ///
     /// Returns [`EngineError::NoSwitchAt`] for non-switch nodes.
     pub fn shard_epoch(&self, node: NodeId) -> Result<u64, EngineError> {
-        Ok(self.shard(node)?.lock().switch.epoch())
+        Ok(self.shard(node)?.lock().epoch())
     }
 
-    /// The memoized computed delay bound at one shard port — the
-    /// Algorithm 4.1 result for the committed state, served from the
-    /// shard's [`SofCache`](rtcac_cac::SofCache) when the epoch matches.
+    /// The computed delay bound at one shard port — Algorithm 4.1
+    /// recomputed over the committed state.
     ///
     /// # Errors
     ///
@@ -558,19 +556,10 @@ impl AdmissionEngine {
         out_link: rtcac_net::LinkId,
         priority: Priority,
     ) -> Result<Time, EngineError> {
-        let mut state = self.shard(node)?.lock();
-        let before = (state.cache.hits(), state.cache.misses());
-        let ShardState { switch, cache } = &mut *state;
-        let result = switch
-            .computed_bound_cached(out_link, priority, cache)
-            .map_err(EngineError::from);
-        if self.metrics.live {
-            self.metrics.cache_hits.add(state.cache.hits() - before.0);
-            self.metrics
-                .cache_misses
-                .add(state.cache.misses() - before.1);
-        }
-        result
+        Ok(self
+            .shard(node)?
+            .lock()
+            .computed_bound(out_link, priority)?)
     }
 
     /// Attempts to establish a connection along `route`, allocating a
@@ -1015,9 +1004,8 @@ impl AdmissionEngine {
         let mut guards = self.lock_route_shards(plan.hops().iter().map(|h| h.node))?;
         let pre_epochs: BTreeMap<NodeId, u64> = guards
             .iter()
-            .map(|(&node, state)| (node, state.switch.epoch()))
+            .map(|(&node, switch)| (node, switch.epoch()))
             .collect();
-        let cache_before = self.metrics.live.then(|| Self::cache_totals(&guards));
         let mut driver = ShardDriver {
             id,
             guards: &mut guards,
@@ -1046,7 +1034,6 @@ impl AdmissionEngine {
             priced.reserve(&mut driver)?
         };
         let (reserve_pending, rollback_start) = (driver.reserve_start, driver.rollback_start);
-        self.record_cache_deltas(cache_before, &guards);
         match outcome {
             ReserveOutcome::Reserved => {
                 ctx.end(reserve_span);
@@ -1187,10 +1174,10 @@ impl AdmissionEngine {
     }
 
     /// Rolls back every reserved hop and rewinds each touched shard's
-    /// table epoch (with matching cache invalidation), so the shards
-    /// end bit-identical to their pre-reserve state.
+    /// table epoch, so the shards end bit-identical to their
+    /// pre-reserve state.
     fn rollback(
-        guards: &mut BTreeMap<NodeId, MutexGuard<'_, ShardState>>,
+        guards: &mut BTreeMap<NodeId, MutexGuard<'_, Switch>>,
         pre_epochs: &BTreeMap<NodeId, u64>,
         reserved: &[NodeId],
         id: ConnectionId,
@@ -1203,38 +1190,16 @@ impl AdmissionEngine {
             guards
                 .get_mut(&up)
                 .expect("reserved shard locked")
-                .switch
                 .release(id)?;
             rolled.push(up);
         }
         for up in rolled {
-            let pre = pre_epochs[&up];
-            let state = guards.get_mut(&up).expect("reserved shard locked");
-            let ShardState { switch, cache } = &mut **state;
-            switch.rewind_epoch(pre);
-            cache.invalidate_newer(pre);
+            guards
+                .get_mut(&up)
+                .expect("reserved shard locked")
+                .rewind_epoch(pre_epochs[&up]);
         }
         Ok(())
-    }
-
-    /// Summed (hits, misses) across a set of locked shards.
-    fn cache_totals(guards: &BTreeMap<NodeId, MutexGuard<'_, ShardState>>) -> (u64, u64) {
-        guards.values().fold((0, 0), |(h, m), state| {
-            (h + state.cache.hits(), m + state.cache.misses())
-        })
-    }
-
-    /// Adds the hit/miss growth since `before` to the obs counters.
-    fn record_cache_deltas(
-        &self,
-        before: Option<(u64, u64)>,
-        guards: &BTreeMap<NodeId, MutexGuard<'_, ShardState>>,
-    ) {
-        if let Some((h0, m0)) = before {
-            let (h1, m1) = Self::cache_totals(guards);
-            self.metrics.cache_hits.add(h1 - h0);
-            self.metrics.cache_misses.add(m1 - m0);
-        }
     }
 
     /// Tears down an established connection, releasing every shard
@@ -1250,8 +1215,8 @@ impl AdmissionEngine {
             .remove(&id)
             .ok_or(EngineError::UnknownConnection(id))?;
         let mut guards = self.lock_route_shards(entry.points.iter().map(|&(n, _)| n))?;
-        for (_, state) in guards.iter_mut() {
-            state.switch.release(id)?;
+        for switch in guards.values_mut() {
+            switch.release(id)?;
         }
         Counters::bump(&self.counters.released);
         self.metrics.released.inc();
@@ -1383,8 +1348,8 @@ impl AdmissionEngine {
             return Ok(false);
         };
         let mut guards = self.lock_route_shards(entry.points.iter().map(|&(n, _)| n))?;
-        for (_, state) in guards.iter_mut() {
-            state.switch.release(id)?;
+        for switch in guards.values_mut() {
+            switch.release(id)?;
         }
         Counters::bump(&self.counters.failed_over);
         self.metrics.failed_over.inc();
@@ -1434,9 +1399,8 @@ impl AdmissionEngine {
     pub fn orphaned_reservations(&self) -> Vec<(NodeId, ConnectionId)> {
         let mut held: Vec<(NodeId, ConnectionId)> = Vec::new();
         for (&node, shard) in &self.shards {
-            let state = shard.lock();
             let ids: BTreeSet<ConnectionId> =
-                state.switch.connections().map(|(id, _)| id).collect();
+                shard.lock().connections().map(|(id, _)| id).collect();
             held.extend(ids.into_iter().map(|id| (node, id)));
         }
         let registry = self.lock_registry();
@@ -1480,6 +1444,9 @@ impl AdmissionEngine {
             .map(|(&id, entry)| (id, entry.clone()))
             .collect();
         let mut violations = Vec::new();
+        // Each port's bound is recomputed once per audit, however many
+        // connections share it.
+        let mut bounds: BTreeMap<(NodeId, LinkId, Priority), Time> = BTreeMap::new();
         for (id, entry) in snapshot {
             for &(node, out_link) in &entry.points {
                 let advertised = self
@@ -1487,7 +1454,15 @@ impl AdmissionEngine {
                     .get(&node)
                     .ok_or(EngineError::NoSwitchAt(node))?
                     .bound(entry.priority)?;
-                let computed = self.computed_bound(node, out_link, entry.priority)?;
+                let key = (node, out_link, entry.priority);
+                let computed = match bounds.get(&key) {
+                    Some(&bound) => bound,
+                    None => {
+                        let bound = self.computed_bound(node, out_link, entry.priority)?;
+                        bounds.insert(key, bound);
+                        bound
+                    }
+                };
                 if computed > advertised {
                     violations.push(GuaranteeViolation {
                         id,
@@ -1521,15 +1496,8 @@ impl AdmissionEngine {
         Ok(violations)
     }
 
-    /// A consistent snapshot of the engine counters plus the summed
-    /// per-shard cache statistics.
+    /// A snapshot of the engine's outcome counters.
     pub fn stats(&self) -> EngineStats {
-        let (mut hits, mut misses) = (0, 0);
-        for shard in self.shards.values() {
-            let state = shard.lock();
-            hits += state.cache.hits();
-            misses += state.cache.misses();
-        }
         EngineStats {
             submitted: self.counters.submitted.load(Ordering::Relaxed),
             admitted: self.counters.admitted.load(Ordering::Relaxed),
@@ -1539,8 +1507,6 @@ impl AdmissionEngine {
             rerouted: self.counters.rerouted.load(Ordering::Relaxed),
             released: self.counters.released.load(Ordering::Relaxed),
             failed_over: self.counters.failed_over.load(Ordering::Relaxed),
-            cache_hits: hits,
-            cache_misses: misses,
             mcast_submitted: self.counters.mcast_submitted.load(Ordering::Relaxed),
             mcast_admitted: self.counters.mcast_admitted.load(Ordering::Relaxed),
             mcast_rejected: self.counters.mcast_rejected.load(Ordering::Relaxed),
@@ -1558,7 +1524,7 @@ impl AdmissionEngine {
     /// nesting order the commit path uses — so no in-flight setup can
     /// be observed half-committed.
     pub fn export_state(&self) -> EngineState {
-        let guards: Vec<(NodeId, MutexGuard<'_, ShardState>)> = self
+        let guards: Vec<(NodeId, MutexGuard<'_, Switch>)> = self
             .shards
             .iter()
             .map(|(&node, shard)| (node, shard.lock()))
@@ -1567,11 +1533,11 @@ impl AdmissionEngine {
         let health = self.lock_health();
         let switches = guards
             .iter()
-            .map(|(node, state)| SwitchState {
+            .map(|(node, switch)| SwitchState {
                 node: *node,
                 config: self.configs[node].clone(),
-                epoch: state.switch.epoch(),
-                legs: state.switch.connections().collect(),
+                epoch: switch.epoch(),
+                legs: switch.connections().collect(),
             })
             .collect();
         let connections = registry
@@ -1608,8 +1574,6 @@ impl AdmissionEngine {
                 rerouted: self.counters.rerouted.load(Ordering::Relaxed),
                 released: self.counters.released.load(Ordering::Relaxed),
                 failed_over: self.counters.failed_over.load(Ordering::Relaxed),
-                cache_hits: 0,
-                cache_misses: 0,
                 mcast_submitted: self.counters.mcast_submitted.load(Ordering::Relaxed),
                 mcast_admitted: self.counters.mcast_admitted.load(Ordering::Relaxed),
                 mcast_rejected: self.counters.mcast_rejected.load(Ordering::Relaxed),
@@ -1626,7 +1590,7 @@ impl AdmissionEngine {
     pub fn resident_bytes(&self) -> usize {
         self.shards
             .values()
-            .map(|shard| shard.lock().switch.resident_bytes())
+            .map(|shard| shard.lock().resident_bytes())
             .sum()
     }
 
@@ -1743,7 +1707,7 @@ impl AdmissionEngine {
         // must be refused before any of it becomes visible here.
         AdmissionEngine::build_from_state(self.topology.clone(), state, EngineMetrics::default())?;
         {
-            let mut guards: Vec<(NodeId, MutexGuard<'_, ShardState>)> = self
+            let mut guards: Vec<(NodeId, MutexGuard<'_, Switch>)> = self
                 .shards
                 .iter()
                 .map(|(&node, shard)| (node, shard.lock()))
@@ -1751,10 +1715,7 @@ impl AdmissionEngine {
             let mut registry = self.lock_registry();
             let mut health = self.lock_health();
             for (node, guard) in guards.iter_mut() {
-                **guard = ShardState {
-                    switch: switches.remove(node).expect("validated switch set"),
-                    cache: SofCache::new(),
-                };
+                **guard = switches.remove(node).expect("validated switch set");
             }
             *registry = established;
             *health = HealthState {
@@ -1876,8 +1837,7 @@ impl AdmissionEngine {
         Ok((configs, switches, established))
     }
 
-    /// Stores exported outcome counters into the engine's atomics
-    /// (cache counters live in the per-shard caches and stay at zero).
+    /// Stores exported outcome counters into the engine's atomics.
     fn load_counters(&self, stats: &EngineStats) {
         let c = &self.counters;
         for (atomic, value) in [
@@ -1991,14 +1951,14 @@ impl AdmissionEngine {
 /// `engine_lock_hold_long_total` — the ouisync
 /// `expect_short_lifetime` discipline, as metrics instead of panics.
 struct ShardGuards<'e> {
-    guards: BTreeMap<NodeId, MutexGuard<'e, ShardState>>,
+    guards: BTreeMap<NodeId, MutexGuard<'e, Switch>>,
     hold_start: Option<Instant>,
     engine: &'e AdmissionEngine,
     threshold_ns: u64,
 }
 
 impl<'e> std::ops::Deref for ShardGuards<'e> {
-    type Target = BTreeMap<NodeId, MutexGuard<'e, ShardState>>;
+    type Target = BTreeMap<NodeId, MutexGuard<'e, Switch>>;
 
     fn deref(&self) -> &Self::Target {
         &self.guards
@@ -2046,13 +2006,11 @@ fn links_visit(topology: &Topology, links: &[LinkId], node: NodeId) -> Result<bo
 }
 
 /// The engine's [`HopDriver`]: admits each priced leg against the
-/// already-locked shards through the per-shard
-/// [`SofCache`](rtcac_cac::SofCache), and rewinds the table epoch
-/// (with matching cache invalidation) on rollback so an aborted
-/// reserve leaves every shard bit-identical to its pre-reserve state.
+/// already-locked shards, and rewinds the table epoch on rollback so
+/// an aborted reserve leaves every shard bit-identical to its pre-reserve state.
 struct ShardDriver<'a, 'g> {
     id: ConnectionId,
-    guards: &'a mut BTreeMap<NodeId, MutexGuard<'g, ShardState>>,
+    guards: &'a mut BTreeMap<NodeId, MutexGuard<'g, Switch>>,
     pre_epochs: &'a BTreeMap<NodeId, u64>,
     metrics: &'a EngineMetrics,
     /// Taken (and the reserve histogram recorded) at the first
@@ -2072,9 +2030,11 @@ impl HopDriver for ShardDriver<'_, '_> {
         hop: &PlannedHop,
         request: ConnectionRequest,
     ) -> Result<AdmissionDecision, EngineError> {
-        let state = self.guards.get_mut(&hop.node).expect("plan shard locked");
-        let ShardState { switch, cache } = &mut **state;
-        let decision = switch.admit_cached(self.id, request, cache)?;
+        let decision = self
+            .guards
+            .get_mut(&hop.node)
+            .expect("plan shard locked")
+            .admit(self.id, request)?;
         if !decision.is_admitted() {
             self.metrics
                 .record_since(self.reserve_start.take(), &self.metrics.reserve_ns);
@@ -2084,12 +2044,9 @@ impl HopDriver for ShardDriver<'_, '_> {
     }
 
     fn rollback(&mut self, node: NodeId) -> Result<(), EngineError> {
-        let pre = self.pre_epochs[&node];
-        let state = self.guards.get_mut(&node).expect("reserved shard locked");
-        let ShardState { switch, cache } = &mut **state;
+        let switch = self.guards.get_mut(&node).expect("reserved shard locked");
         switch.release(self.id)?;
-        switch.rewind_epoch(pre);
-        cache.invalidate_newer(pre);
+        switch.rewind_epoch(self.pre_epochs[&node]);
         Ok(())
     }
 }
@@ -2221,7 +2178,7 @@ mod tests {
     }
 
     #[test]
-    fn explicit_registry_records_phase_timings_and_cache_traffic() {
+    fn explicit_registry_records_phase_timings() {
         let (topology, src, sw, dst) = builders::line(3).unwrap();
         let config = SwitchConfig::uniform(1, Time::from_integer(32)).unwrap();
         let route = Route::from_nodes(
@@ -2262,18 +2219,6 @@ mod tests {
             .map(|(_, h)| h.count)
             .sum();
         assert_eq!(lock_waits, 4 * 3);
-        // The shard caches were exercised, and the obs deltas agree
-        // with the engine's own totals.
-        let stats = engine.stats();
-        assert_eq!(
-            snap.counter("engine_sof_cache_hits_total").unwrap_or(0),
-            stats.cache_hits
-        );
-        assert_eq!(
-            snap.counter("engine_sof_cache_misses_total").unwrap_or(0),
-            stats.cache_misses
-        );
-        assert!(stats.cache_hits + stats.cache_misses > 0);
     }
 
     #[test]
@@ -2426,28 +2371,6 @@ mod tests {
         assert_eq!(
             engine.release(ConnectionId::new(999)),
             Err(EngineError::UnknownConnection(ConnectionId::new(999)))
-        );
-    }
-
-    #[test]
-    fn unchanged_tables_serve_cached_bounds() {
-        let (engine, route) = line_engine(2, 256);
-        let req = SetupRequest::new(cbr(1, 64), Priority::HIGHEST, Time::from_integer(2_000));
-        assert!(engine.admit(&route, req).unwrap().is_admitted());
-        // Same epoch, same key: the second lookup must be a hit.
-        let (node, out_link) = route.queueing_points(engine.topology()).unwrap()[0];
-        let first = engine
-            .computed_bound(node, out_link, Priority::HIGHEST)
-            .unwrap();
-        let hits_before = engine.stats().cache_hits;
-        let second = engine
-            .computed_bound(node, out_link, Priority::HIGHEST)
-            .unwrap();
-        assert_eq!(first, second);
-        assert!(
-            engine.stats().cache_hits > hits_before,
-            "repeat lookup at an unchanged epoch must hit: {:?}",
-            engine.stats()
         );
     }
 

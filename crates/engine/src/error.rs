@@ -36,12 +36,6 @@ pub enum EngineError {
         /// Submitted jobs that never produced a result.
         missing: u64,
     },
-    /// The resident service pool has shut down (or its worker died), so
-    /// the submitted setup was never decided. Unlike
-    /// [`EngineError::WorkerPanicked`] this is a per-job verdict: the
-    /// caller knows exactly which setup was dropped and can retry
-    /// against a live pool.
-    ServiceStopped,
     /// A state restore was refused before any of it became visible —
     /// the snapshot is inconsistent with the target topology or fails
     /// the post-rebuild guarantee/orphan audit. The engine (or the
@@ -66,9 +60,6 @@ impl fmt::Display for EngineError {
                 f,
                 "{workers} pool worker(s) panicked; {missing} job result(s) missing"
             ),
-            EngineError::ServiceStopped => {
-                write!(f, "the service pool has stopped; the setup was not decided")
-            }
             EngineError::RestoreRefused(why) => {
                 write!(f, "state restore refused: {why}")
             }

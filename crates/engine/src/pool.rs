@@ -193,161 +193,6 @@ impl EnginePool {
     }
 }
 
-/// One queued setup of a [`ServicePool`], answered over its own reply
-/// channel instead of a shared ticketed result stream.
-struct ServiceJob {
-    id: ConnectionId,
-    route: Route,
-    request: SetupRequest,
-    ctx: TraceCtx,
-    queue_span: SpanId,
-    reply: mpsc::SyncSender<Result<EngineOutcome, EngineError>>,
-}
-
-/// The resident variant of [`EnginePool`]: a fixed worker pool that
-/// serves setups *indefinitely* — submissions come from any number of
-/// threads (e.g. one per client session of `rtcac-serve`), each job is
-/// answered over its own reply channel, and the pool keeps running
-/// between jobs instead of being consumed by a batch-final `finish`.
-///
-/// Shutting down ([`ServicePool::shutdown`], or dropping the pool)
-/// closes the submission queue; workers finish the jobs already queued
-/// and exit. A job submitted after shutdown — or orphaned by a worker
-/// panic — resolves to [`EngineError::ServiceStopped`] rather than
-/// blocking forever, because each worker replies through a channel
-/// whose disconnection the waiting submitter observes.
-///
-/// ```
-/// use std::sync::Arc;
-/// use rtcac_bitstream::{CbrParams, Rate, Time, TrafficContract};
-/// use rtcac_cac::{Priority, SwitchConfig};
-/// use rtcac_engine::{AdmissionEngine, ServicePool};
-/// use rtcac_net::builders;
-/// use rtcac_rational::ratio;
-/// use rtcac_signaling::{CdvPolicy, SetupRequest};
-///
-/// let sr = builders::star_ring(4, 1)?;
-/// let config = SwitchConfig::uniform(1, Time::from_integer(48))?;
-/// let engine = Arc::new(AdmissionEngine::new(
-///     sr.topology().clone(),
-///     config,
-///     CdvPolicy::Hard,
-/// ));
-/// let pool = ServicePool::new(Arc::clone(&engine), 2);
-/// let contract = TrafficContract::cbr(CbrParams::new(Rate::new(ratio(1, 16)))?);
-/// let route = sr.ring_route_from_terminal(0, 0, 1)?;
-/// let outcome = pool
-///     .admit(route, SetupRequest::new(contract, Priority::HIGHEST, Time::from_integer(500)))?;
-/// assert!(outcome.is_admitted());
-/// pool.shutdown();
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-#[derive(Debug)]
-pub struct ServicePool {
-    engine: Arc<AdmissionEngine>,
-    // `None` once shut down; a Mutex because submitters on many session
-    // threads share the pool behind an `Arc`.
-    job_tx: Mutex<Option<mpsc::Sender<ServiceJob>>>,
-    handles: Mutex<Vec<thread::JoinHandle<()>>>,
-}
-
-impl ServicePool {
-    /// Spawns `workers` threads (at least one) serving `engine` until
-    /// [`ServicePool::shutdown`].
-    pub fn new(engine: Arc<AdmissionEngine>, workers: usize) -> ServicePool {
-        let (job_tx, job_rx) = mpsc::channel::<ServiceJob>();
-        let job_rx = Arc::new(Mutex::new(job_rx));
-        let handles = (0..workers.max(1))
-            .map(|_| {
-                let engine = Arc::clone(&engine);
-                let job_rx = Arc::clone(&job_rx);
-                thread::spawn(move || loop {
-                    let job = {
-                        let rx = job_rx.lock().expect("service queue poisoned");
-                        rx.recv()
-                    };
-                    let Ok(mut job) = job else {
-                        break; // queue closed: pool is shutting down
-                    };
-                    job.ctx.end(job.queue_span);
-                    let outcome =
-                        engine.admit_with_ctx(job.id, &job.route, job.request, &mut job.ctx);
-                    job.ctx.finish(AdmissionEngine::outcome_rejects(&outcome));
-                    // The submitter may have given up (its session
-                    // died); the decision is already committed either
-                    // way, so a failed send is not an error here.
-                    let _ = job.reply.send(outcome);
-                })
-            })
-            .collect();
-        ServicePool {
-            engine,
-            job_tx: Mutex::new(Some(job_tx)),
-            handles: Mutex::new(handles),
-        }
-    }
-
-    /// The engine this pool serves.
-    pub fn engine(&self) -> &Arc<AdmissionEngine> {
-        &self.engine
-    }
-
-    /// Submits one setup and blocks until a worker decides it.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::ServiceStopped`] if the pool is shut down (or its
-    /// worker died before replying); otherwise as
-    /// [`AdmissionEngine::admit_with_id`].
-    pub fn admit(&self, route: Route, request: SetupRequest) -> Result<EngineOutcome, EngineError> {
-        let id = self.engine.allocate_id();
-        let mut ctx = self.engine.start_trace("engine.admit", id);
-        let queue_span = ctx.begin("pool.queue");
-        let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-        {
-            let guard = self.job_tx.lock().expect("service pool poisoned");
-            let Some(tx) = guard.as_ref() else {
-                return Err(EngineError::ServiceStopped);
-            };
-            if tx
-                .send(ServiceJob {
-                    id,
-                    route,
-                    request,
-                    ctx,
-                    queue_span,
-                    reply: reply_tx,
-                })
-                .is_err()
-            {
-                return Err(EngineError::ServiceStopped);
-            }
-        }
-        reply_rx.recv().unwrap_or(Err(EngineError::ServiceStopped))
-    }
-
-    /// Closes the submission queue and joins every worker; jobs already
-    /// queued are still decided first. Idempotent.
-    pub fn shutdown(&self) {
-        *self.job_tx.lock().expect("service pool poisoned") = None;
-        let handles: Vec<_> = self
-            .handles
-            .lock()
-            .expect("service pool poisoned")
-            .drain(..)
-            .collect();
-        for handle in handles {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for ServicePool {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
 /// Convenience: runs a whole batch through a fresh [`EnginePool`] and
 /// returns the outcomes in submission order.
 ///
@@ -443,71 +288,6 @@ mod tests {
             "an 8-cell queue cannot hold six 1/3-rate streams"
         );
         assert!(admitted > 0, "at least one stream must fit");
-    }
-
-    #[test]
-    fn service_pool_serves_concurrent_submitters_and_shuts_down() {
-        let sr = builders::star_ring(8, 2).unwrap();
-        let config = SwitchConfig::uniform(1, Time::from_integer(64)).unwrap();
-        let engine = Arc::new(AdmissionEngine::new(
-            sr.topology().clone(),
-            config,
-            CdvPolicy::Hard,
-        ));
-        let pool = Arc::new(ServicePool::new(Arc::clone(&engine), 4));
-        // Eight submitter threads racing through the shared pool, like
-        // eight client sessions of the admission service.
-        let submitters: Vec<_> = (0..8)
-            .map(|i| {
-                let pool = Arc::clone(&pool);
-                let route = sr.terminal_route((i, 0), (i, 1)).unwrap();
-                thread::spawn(move || {
-                    pool.admit(
-                        route,
-                        SetupRequest::new(cbr(1, 4), Priority::HIGHEST, Time::from_integer(500)),
-                    )
-                })
-            })
-            .collect();
-        for handle in submitters {
-            let outcome = handle.join().unwrap().unwrap();
-            assert!(outcome.is_admitted());
-        }
-        assert_eq!(engine.connection_count(), 8);
-        pool.shutdown();
-        // Submissions after shutdown fail loudly instead of hanging.
-        let route = sr.terminal_route((0, 0), (0, 1)).unwrap();
-        match pool.admit(
-            route,
-            SetupRequest::new(cbr(1, 4), Priority::HIGHEST, Time::from_integer(500)),
-        ) {
-            Err(EngineError::ServiceStopped) => {}
-            other => panic!("expected ServiceStopped, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn service_pool_worker_death_resolves_the_job() {
-        let sr = builders::star_ring(4, 2).unwrap();
-        let config = SwitchConfig::uniform(4, Time::from_integer(64)).unwrap();
-        let engine = Arc::new(AdmissionEngine::new(
-            sr.topology().clone(),
-            config,
-            CdvPolicy::Hard,
-        ));
-        let route = sr.terminal_route((0, 0), (0, 1)).unwrap();
-        let node = route.queueing_points(engine.topology()).unwrap()[0].0;
-        engine.poison_shard(node);
-        let pool = ServicePool::new(Arc::clone(&engine), 1);
-        // The single worker panics on the poisoned shard; the blocked
-        // submitter must get ServiceStopped, not hang forever.
-        match pool.admit(
-            route,
-            SetupRequest::new(cbr(1, 8), Priority::HIGHEST, Time::from_integer(500)),
-        ) {
-            Err(EngineError::ServiceStopped) => {}
-            other => panic!("expected ServiceStopped, got {other:?}"),
-        }
     }
 
     #[test]

@@ -20,12 +20,6 @@
 //!   per-leaf guarantees (CDV accumulation results);
 //! * the element-health overlay, drain flag, reroute budget, next
 //!   connection id and outcome counters.
-//!
-//! The per-shard [`SofCache`](rtcac_cac::SofCache) is deliberately
-//! absent: it is epoch-tagged memoization, and a cold cache recomputes
-//! identical results. Its hit/miss counters are likewise excluded from
-//! [`EngineState::counters`] (reported as zero) so that
-//! `snapshot → restore → snapshot` is value-identical.
 
 use rtcac_bitstream::Time;
 use rtcac_cac::{ConnectionId, ConnectionRequest, Priority, SwitchConfig};
@@ -57,8 +51,7 @@ pub struct EngineState {
     pub switches: Vec<SwitchState>,
     /// One entry per established connection, ascending by id.
     pub connections: Vec<ConnectionState>,
-    /// Outcome counters at the cut (`cache_hits`/`cache_misses` are
-    /// reported as zero — see the module docs).
+    /// Outcome counters at the cut.
     pub counters: EngineStats,
 }
 

@@ -3,7 +3,7 @@
 //!
 //! Everything before this crate decided admission *inside one process*:
 //! the serial [`rtcac_signaling::Network`], the concurrent
-//! [`rtcac_engine::AdmissionEngine`], the batch pools. This crate puts
+//! [`rtcac_engine::AdmissionEngine`], its batch pool. This crate puts
 //! a socket in front of that machinery, because the paper's CAC is a
 //! *service* switches call into, not a library linked into every
 //! terminal:

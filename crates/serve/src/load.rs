@@ -510,7 +510,7 @@ fn route_pool(nodes: usize, terminals: usize, seed: u64) -> Result<Vec<Vec<u32>>
 }
 
 /// A small CBR request whose rate varies so the load is not one single
-/// cached admission decision over and over.
+/// admission decision over and over.
 fn random_request(rng: &mut SimRng) -> SetupRequest {
     let denominator = 64i128 << rng.gen_below(4); // 1/64 .. 1/512 of a link
     let contract = TrafficContract::cbr(

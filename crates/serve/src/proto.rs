@@ -69,7 +69,8 @@ pub enum ErrorCode {
     UnsupportedVersion = 1,
     /// The frame type byte is unknown.
     UnknownFrame = 2,
-    /// The body did not decode.
+    /// The body did not decode, or asks for a priority the switches
+    /// do not serve.
     BadPayload = 3,
     /// The submitted link list is not a valid route/tree here.
     BadRoute = 4,

@@ -1,10 +1,8 @@
 //! The resident admission server: sessions, ownership, drain.
 //!
 //! One OS thread per client session reads frames off the socket and
-//! dispatches them; unicast setups go through the engine's resident
-//! [`ServicePool`] (so admission CPU is bounded by the worker count,
-//! not the session count), releases and queries hit the engine
-//! directly. Every session tracks the connections *it* admitted, and a
+//! dispatches them straight into the engine, which is `Sync` with one
+//! lock per switch shard. Every session tracks the connections *it* admitted, and a
 //! session that ends for any reason — clean close, socket error, or a
 //! client that simply vanishes mid-burst — releases its surviving
 //! reservations before the thread exits, so a dead client can never
@@ -27,8 +25,8 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use rtcac_bitstream::Time;
-use rtcac_cac::{ConnectionId, SwitchConfig};
-use rtcac_engine::{AdmissionEngine, EngineError, EngineOutcome, ServicePool};
+use rtcac_cac::{CacError, ConnectionId, SwitchConfig};
+use rtcac_engine::{AdmissionEngine, EngineError, EngineOutcome};
 use rtcac_net::{builders, LinkId, MulticastTree, Route};
 use rtcac_obs::series::DEFAULT_TICKS;
 use rtcac_obs::{
@@ -60,8 +58,6 @@ pub struct ServeConfig {
     pub terminals: usize,
     /// The uniform advertised per-hop delay bound, in cell times.
     pub bound: Time,
-    /// Admission worker threads in the [`ServicePool`].
-    pub workers: usize,
     /// Run without metric recording: the engine gets no registry and
     /// every service-level handle is a no-op (near-zero observability
     /// cost; the exposition endpoint then serves an empty snapshot).
@@ -99,7 +95,6 @@ impl Default for ServeConfig {
             nodes: 16,
             terminals: 4,
             bound: Time::from_integer(64),
-            workers: 4,
             snapshot_free: false,
             snapshot_path: None,
             snapshot_every: None,
@@ -164,7 +159,6 @@ impl From<std::io::Error> for ServeError {
 /// Shared state every session thread sees.
 struct ServiceState {
     engine: Arc<AdmissionEngine>,
-    pool: ServicePool,
     recorder: Option<Arc<FlightRecorder>>,
     shutdown: AtomicBool,
     restoring: Arc<AtomicBool>,
@@ -364,7 +358,6 @@ impl Server {
             engine.set_lock_hold_threshold_ns(ns);
         }
         let engine = Arc::new(engine);
-        let pool = ServicePool::new(Arc::clone(&engine), config.workers);
         let (recorder, sampler) = if flight_armed {
             let dir = config.flight_dir.as_deref().unwrap_or("flight");
             let recorder = FlightRecorder::new(
@@ -427,7 +420,6 @@ impl Server {
         };
         let state = Arc::new(ServiceState {
             engine,
-            pool,
             recorder,
             shutdown: AtomicBool::new(false),
             restoring: Arc::new(AtomicBool::new(has_snapshot)),
@@ -607,7 +599,6 @@ fn accept_loop(listener: &TcpListener, state: &Arc<ServiceState>) -> DrainSummar
     for handle in sessions {
         let _ = handle.join();
     }
-    state.pool.shutdown();
     let restore_failed = state
         .restore_error
         .lock()
@@ -751,12 +742,9 @@ fn dispatch(
                     })
                 }
             };
-            match state.pool.admit(route, request) {
+            match state.engine.admit(&route, request) {
                 Ok(outcome) => setup_response(state, owned, outcome),
-                Err(e) => Response::Error {
-                    code: ErrorCode::Internal,
-                    message: e.to_string(),
-                },
+                Err(e) => setup_error(e),
             }
         }
         Request::SetupMcast { links, request } => {
@@ -774,10 +762,7 @@ fn dispatch(
             };
             match state.engine.admit_multicast(&tree, request) {
                 Ok(outcome) => setup_response(state, owned, outcome),
-                Err(e) => Response::Error {
-                    code: ErrorCode::Internal,
-                    message: e.to_string(),
-                },
+                Err(e) => setup_error(e),
             }
         }
         Request::Release { id } => {
@@ -853,6 +838,20 @@ fn dispatch(
         },
     };
     Some(response)
+}
+
+/// The wire reply for a setup the engine could not decide. A priority
+/// the switches do not serve is the client's fault; anything else is
+/// the server's.
+fn setup_error(e: EngineError) -> Response {
+    let code = match e {
+        EngineError::Cac(CacError::UnknownPriority(_)) => ErrorCode::BadPayload,
+        _ => ErrorCode::Internal,
+    };
+    Response::Error {
+        code,
+        message: e.to_string(),
+    }
 }
 
 /// Books one setup outcome: ownership, counters, and the wire reply.

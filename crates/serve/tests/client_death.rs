@@ -34,7 +34,6 @@ fn killed_client_leaves_no_orphans_and_intact_guarantees() {
         addr: "127.0.0.1:0".into(),
         nodes: 8,
         terminals: 2,
-        workers: 2,
         ..ServeConfig::default()
     })
     .unwrap();

@@ -26,7 +26,6 @@ fn flight_server(dir: &Path, watchdog_ns: Option<u64>) -> Server {
         addr: "127.0.0.1:0".into(),
         nodes: 4,
         terminals: 2,
-        workers: 2,
         flight_dir: Some(dir.display().to_string()),
         flight_tick_ms: 20,
         lock_hold_threshold_ns: watchdog_ns,

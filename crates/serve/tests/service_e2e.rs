@@ -1,26 +1,29 @@
 //! End-to-end service behavior over loopback: ownership enforcement,
-//! typed protocol errors, multicast setups, live stats, and a DRAIN
-//! arriving in the middle of an active setup burst.
+//! typed protocol errors, multicast setups, live stats, concurrent
+//! sessions, wire-vs-engine parity, and a DRAIN arriving in the middle
+//! of an active setup burst.
 
+use std::collections::HashSet;
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
 
 use rtcac_bitstream::{CbrParams, Rate, Time, TrafficContract};
-use rtcac_cac::Priority;
-use rtcac_net::builders;
+use rtcac_cac::{ConnectionId, Priority, SwitchConfig};
+use rtcac_engine::{AdmissionEngine, EngineOutcome};
+use rtcac_net::{builders, Route};
 use rtcac_rational::ratio;
 use rtcac_serve::proto::{frame_type, reject_code};
 use rtcac_serve::wire::write_frame;
 use rtcac_serve::{Client, ErrorCode, Request, Response, ServeConfig, Server};
-use rtcac_signaling::SetupRequest;
+use rtcac_signaling::{CdvPolicy, SetupRequest};
+use rtcac_sim::SimRng;
 
 fn small_server(nodes: usize, terminals: usize) -> (Server, builders::StarRing) {
     let server = Server::start(&ServeConfig {
         addr: "127.0.0.1:0".into(),
         nodes,
         terminals,
-        workers: 2,
         ..ServeConfig::default()
     })
     .unwrap();
@@ -138,6 +141,31 @@ fn protocol_errors_are_typed_and_survivable() {
             ..
         }
     ));
+    // A priority the one-level switches do not serve is the client's
+    // mistake, on both setup paths.
+    let links = links_of(&sr, (0, 0), (0, 1));
+    let unserved = SetupRequest::new(
+        setup_request().contract(),
+        Priority::new(3),
+        Time::from_integer(1_000_000),
+    );
+    let tree = sr.broadcast_tree(1, 0).unwrap();
+    let tree_links: Vec<u32> = tree.links().iter().map(|l| l.index() as u32).collect();
+    for reply in [
+        client.setup(&links, unserved).unwrap(),
+        client.setup_mcast(&tree_links, unserved).unwrap(),
+    ] {
+        assert!(
+            matches!(
+                reply,
+                Response::Error {
+                    code: ErrorCode::BadPayload,
+                    ..
+                }
+            ),
+            "{reply:?}"
+        );
+    }
     // Releasing a connection nobody admitted: NotOwner.
     assert!(matches!(
         client.release(424_242).unwrap(),
@@ -147,7 +175,7 @@ fn protocol_errors_are_typed_and_survivable() {
         }
     ));
 
-    let links = links_of(&sr, (0, 0), (0, 1));
+    // The session survived every error above.
     assert!(matches!(
         client.setup(&links, setup_request()).unwrap(),
         Response::Admitted { .. }
@@ -214,4 +242,198 @@ fn drain_mid_burst_keeps_invariants_and_refuses_new_setups() {
         drained_rejections > 0 || summary.sessions >= 2,
         "the churner should have seen the drain take effect"
     );
+}
+
+/// Star-ring size and per-hop bound of the churn tests. The bound is
+/// tight enough that a few dozen live connections overload the shared
+/// ring ports, so some setups are refused.
+const CHURN_NODES: usize = 4;
+const CHURN_TERMINALS: usize = 2;
+const CHURN_BOUND: i128 = 8;
+
+fn churn_server() -> (Server, builders::StarRing) {
+    let server = Server::start(&ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        nodes: CHURN_NODES,
+        terminals: CHURN_TERMINALS,
+        bound: Time::from_integer(CHURN_BOUND),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let sr = builders::star_ring(CHURN_NODES, CHURN_TERMINALS).unwrap();
+    (server, sr)
+}
+
+/// Every terminal's one-, two- and three-hop ring route: routes from
+/// different terminals share ring ports.
+fn ring_routes(sr: &builders::StarRing) -> Vec<Route> {
+    let mut routes = Vec::new();
+    for i in 0..sr.ring_len() {
+        for j in 0..sr.terminals_per_node() {
+            for hops in 1..sr.ring_len() {
+                routes.push(sr.ring_route_from_terminal(i, j, hops).unwrap());
+            }
+        }
+    }
+    routes
+}
+
+fn wire_links(route: &Route) -> Vec<u32> {
+    route.links().iter().map(|l| l.index() as u32).collect()
+}
+
+/// One step of a seeded churn.
+enum Step {
+    /// Set up on the route at this index.
+    Setup(usize, SetupRequest),
+    /// Release the live connection at this index.
+    Release(usize),
+}
+
+/// Draws the next step: a release (one time in three, when anything
+/// is live) or a CBR setup of rate 1/4 to 1/11 on a random route.
+fn next_step(rng: &mut SimRng, routes: usize, live: usize) -> Step {
+    if live > 0 && rng.gen_below(3) == 0 {
+        return Step::Release(rng.gen_below(live as u64) as usize);
+    }
+    let route = rng.gen_below(routes as u64) as usize;
+    let den = 4 + i128::from(rng.gen_below(8));
+    let contract = TrafficContract::cbr(CbrParams::new(Rate::new(ratio(1, den))).unwrap());
+    let request = SetupRequest::new(contract, Priority::HIGHEST, Time::from_integer(1_000_000));
+    Step::Setup(route, request)
+}
+
+#[test]
+fn concurrent_sessions_churn_without_sharing_ids() {
+    const SESSIONS: u64 = 4;
+    const STEPS: usize = 120;
+    let (server, sr) = churn_server();
+    let routes: Vec<Vec<u32>> = ring_routes(&sr).iter().map(wire_links).collect();
+    let addr = server.addr();
+
+    // Each session returns (setups sent, rejections seen, ids admitted).
+    let sessions: Vec<_> = (0..SESSIONS)
+        .map(|seed| {
+            let routes = routes.clone();
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr).unwrap();
+                let mut rng = SimRng::seed_from_u64(0xC0DE + seed);
+                let (mut sent, mut rejected) = (0u64, 0u64);
+                let mut admitted: Vec<u64> = Vec::new();
+                let mut live: Vec<u64> = Vec::new();
+                for _ in 0..STEPS {
+                    match next_step(&mut rng, routes.len(), live.len()) {
+                        Step::Release(k) => {
+                            let id = live.swap_remove(k);
+                            assert_eq!(client.release(id).unwrap(), Response::Released { id });
+                        }
+                        Step::Setup(route, request) => {
+                            sent += 1;
+                            match client.setup(&routes[route], request).unwrap() {
+                                Response::Admitted { id, .. } => {
+                                    admitted.push(id);
+                                    live.push(id);
+                                }
+                                Response::Rejected { .. } => rejected += 1,
+                                other => panic!("setup must be decided: {other:?}"),
+                            }
+                        }
+                    }
+                }
+                // The survivors are left to session cleanup.
+                (sent, rejected, admitted)
+            })
+        })
+        .collect();
+
+    let (mut sent, mut rejected) = (0u64, 0u64);
+    let mut ids: HashSet<u64> = HashSet::new();
+    let mut admitted_total = 0u64;
+    for handle in sessions {
+        let (s, r, admitted) = handle.join().unwrap();
+        sent += s;
+        rejected += r;
+        admitted_total += admitted.len() as u64;
+        for id in admitted {
+            assert!(ids.insert(id), "connection id {id} handed to two sessions");
+        }
+    }
+    assert!(rejected > 0, "the bound must refuse some setups");
+    assert!(admitted_total > 0, "the ring must admit some setups");
+
+    let mut admin = Client::connect(addr).unwrap();
+    let Response::StatsReply {
+        admitted,
+        rejected: stats_rejected,
+        ..
+    } = admin.stats().unwrap()
+    else {
+        panic!("STATS must be answered by STATS-REPLY");
+    };
+    assert_eq!(admitted + stats_rejected, sent);
+    assert_eq!((admitted, stats_rejected), (admitted_total, rejected));
+
+    admin.drain().unwrap();
+    drop(admin);
+    let summary = server.join();
+    assert_eq!((summary.orphans, summary.violations), (0, 0), "{summary:?}");
+    assert_eq!(summary.active, 0, "session cleanup must release survivors");
+}
+
+#[test]
+fn one_session_matches_a_fresh_in_process_engine() {
+    const STEPS: usize = 200;
+    let (server, sr) = churn_server();
+    let routes = ring_routes(&sr);
+    let config = SwitchConfig::uniform(1, Time::from_integer(CHURN_BOUND)).unwrap();
+    let engine = AdmissionEngine::new(sr.topology().clone(), config, CdvPolicy::Hard);
+
+    let mut client = Client::connect(server.addr()).unwrap();
+    let mut rng = SimRng::seed_from_u64(0x5EED);
+    let mut live: Vec<u64> = Vec::new();
+    let mut refused = 0;
+    for step in 0..STEPS {
+        match next_step(&mut rng, routes.len(), live.len()) {
+            Step::Release(k) => {
+                let id = live.swap_remove(k);
+                assert_eq!(client.release(id).unwrap(), Response::Released { id });
+                engine.release(ConnectionId::new(id)).unwrap();
+            }
+            Step::Setup(route, request) => {
+                let wire = client.setup(&wire_links(&routes[route]), request).unwrap();
+                let local = engine.admit(&routes[route], request).unwrap();
+                match (wire, local) {
+                    (
+                        Response::Admitted {
+                            id,
+                            guaranteed_delay,
+                            ..
+                        },
+                        EngineOutcome::Admitted {
+                            id: local_id,
+                            guaranteed_delay: local_delay,
+                        },
+                    ) => {
+                        assert_eq!(id, local_id.raw(), "step {step}");
+                        assert_eq!(guaranteed_delay, local_delay, "step {step}");
+                        live.push(id);
+                    }
+                    (
+                        Response::Rejected { id, .. },
+                        EngineOutcome::Rejected { id: local_id, .. },
+                    ) => {
+                        assert_eq!(id, local_id.raw(), "step {step}");
+                        refused += 1;
+                    }
+                    (wire, local) => panic!("step {step}: wire {wire:?}, engine {local:?}"),
+                }
+            }
+        }
+    }
+    assert!(refused > 0, "the bound must refuse some setups");
+    assert!(!live.is_empty());
+
+    client.drain().unwrap();
+    drop(client);
+    assert!(server.join().is_clean());
 }

@@ -29,7 +29,6 @@ fn snap_server(path: &Path, every: Option<u64>) -> Server {
         addr: "127.0.0.1:0".into(),
         nodes: 4,
         terminals: 2,
-        workers: 2,
         snapshot_path: Some(path.display().to_string()),
         snapshot_every: every,
         ..ServeConfig::default()

@@ -256,12 +256,7 @@ fn draining_flag_and_counters_survive() {
     assert!(doc.state.draining);
     let restored = restore_engine(&doc).unwrap();
     assert!(restored.is_draining());
-    let (mut a, mut b) = (engine.stats(), restored.stats());
-    a.cache_hits = 0;
-    a.cache_misses = 0;
-    b.cache_hits = 0;
-    b.cache_misses = 0;
-    assert_eq!(a, b);
+    assert_eq!(engine.stats(), restored.stats());
 }
 
 #[test]

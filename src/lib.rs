@@ -15,9 +15,9 @@
 //!   CAC check of §4.3;
 //! - [`signaling`] — distributed SETUP/REJECT/CONNECTED connection
 //!   establishment with hard/soft CDV accumulation;
-//! - [`engine`] — a concurrent sharded admission engine: a worker pool
-//!   serving setups with a two-phase reserve/commit protocol and
-//!   epoch-keyed delay-bound memoization;
+//! - [`engine`] — a concurrent sharded admission engine: one lock per
+//!   switch shard and a two-phase reserve/commit protocol, callable
+//!   from any thread or through a batch worker pool;
 //! - [`sim`] — a cell-level slotted ATM simulator used to validate the
 //!   analytic bounds empirically;
 //! - [`fault`] — fault injection and failure recovery: seeded

@@ -150,7 +150,6 @@ fn wire_service_matches_in_process_engine() {
         nodes: 4,
         terminals: 2,
         bound: Time::from_integer(64),
-        workers: 2,
         ..ServeConfig::default()
     };
     let server = Server::start(&config).unwrap();

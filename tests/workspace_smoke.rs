@@ -236,7 +236,6 @@ fn serve_wire_service_roundtrip() {
         addr: "127.0.0.1:0".into(),
         nodes: 4,
         terminals: 2,
-        workers: 2,
         ..ServeConfig::default()
     })
     .unwrap();
